@@ -1,0 +1,7 @@
+"""The serving benchmark: end-to-end and per-layer metrics of ``repro``.
+
+Entry point: ``python3 perfbench/run.py --workload NAME --seed N
+--seconds S --trace 0|1`` from the repository root.  See
+``perfbench/README.md`` for the workloads, the metrics and the reasoning
+behind them.
+"""
