@@ -40,9 +40,9 @@ pooled answer diverges from its serial twin, or — **only when the box
 actually has ≥2 CPUs** — when the 2-worker arm is slower than serial
 on the fig5g workload.  Process pools cannot beat serial on a
 single-core container, so the throughput gate is conditional on
-``repro.parallel.available_cpus()``; the JSON records ``cpu_count``
-and a ``cpu_limited`` flag so a reader knows which regime produced
-the numbers.
+the scheduling-affinity-aware CPU count (:func:`available_cpus`); the
+JSON records ``cpu_count`` and a ``cpu_limited`` flag so a reader knows
+which regime produced the numbers.
 """
 
 from __future__ import annotations
@@ -50,14 +50,23 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from repro.bench.workloads import BENCH_SCALE, bench_graph, bench_pattern
 from repro.graph import csr
-from repro.parallel import available_cpus
 from repro.session import ExecutionConfig, MatchSession, QuerySpec
+
+
+def available_cpus() -> int:
+    """CPUs this process may schedule on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
+
 
 #: Figure 5 scale-figure workloads on the synthetic generators.
 WORKLOADS = {

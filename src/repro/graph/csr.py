@@ -31,7 +31,6 @@ fall back to the dict-of-sets reference path (see ``available()``).
 from __future__ import annotations
 
 import itertools
-import threading
 from collections.abc import Set as _AbstractSet
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -105,20 +104,13 @@ class CSRSnapshot:
         "_out_adjacency",
         "_in_adjacency",
         "_cum_scratch",
-        "_shard_cache",
-        "_shard_lock",
-        "__weakref__",
     )
 
     #: Slots that are derived, process-local conveniences — rebuilt on
     #: demand, and deliberately excluded from pickling so a snapshot
     #: shipped to a worker process carries only the core arrays.
-    #: (``__weakref__`` rides along: shard runners register a finalizer
-    #: on their snapshot, and the weakref machinery itself must never
-    #: be pickled.  ``token`` is an identity, not state: an unpickled
-    #: snapshot gets a fresh one from the receiving process's counter,
-    #: and ``_shard_lock`` — which guards the shard-cache get-or-create
-    #: — is unpicklable by construction and rebuilt per process.)
+    #: (``token`` is an identity, not state: an unpickled snapshot gets
+    #: a fresh one from the receiving process's counter.)
     _TRANSIENT_SLOTS = (
         "token",
         "_out_lists",
@@ -126,9 +118,6 @@ class CSRSnapshot:
         "_out_adjacency",
         "_in_adjacency",
         "_cum_scratch",
-        "_shard_cache",
-        "_shard_lock",
-        "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -139,8 +128,6 @@ class CSRSnapshot:
         self._out_adjacency: list[list[int]] | None = None
         self._in_adjacency: list[list[int]] | None = None
         self._cum_scratch = None
-        self._shard_cache: dict = {}
-        self._shard_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # pickling (worker processes receive snapshots by value)
@@ -160,7 +147,7 @@ class CSRSnapshot:
         return names
 
     def __getstate__(self) -> dict:
-        """Core arrays only — scalar-mirror and shard caches are local."""
+        """Core arrays only — scalar mirrors and scratch are local."""
         return {name: getattr(self, name) for name in self._pickled_slots()}
 
     def __setstate__(self, state: dict) -> None:
@@ -372,103 +359,6 @@ class CSRSnapshot:
         return r_offsets, r_targets
 
     # ------------------------------------------------------------------
-    # node-range sharding
-    # ------------------------------------------------------------------
-    def shard_bounds(self, num_shards: int) -> list[int]:
-        """Node-range shard boundaries balanced by out-edge weight.
-
-        Returns ``num_shards + 1`` ascending node ids ``b`` with
-        ``b[0] == 0`` and ``b[-1] == num_nodes``; shard ``i`` owns the
-        node range ``[b[i], b[i+1])``.  Boundaries are placed at (near-)
-        equal fractions of the edge array, so each shard's counting
-        scan (:meth:`out_counts_range`) touches a comparable number of
-        edges regardless of degree skew.  Plain ints (picklable), and
-        cached per shard count.
-        """
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be positive; got {num_shards}")
-        cached = self._shard_cache.get(("bounds", num_shards))
-        if cached is not None:
-            return cached
-        n = self.num_nodes
-        k = min(num_shards, n) if n else 1
-        if k <= 1 or self.num_edges == 0:
-            bounds = [0] * k + [n]
-        else:
-            targets = (self.num_edges * np.arange(1, k, dtype=np.int64)) // k
-            cuts = np.searchsorted(self.out_offsets, targets, side="left")
-            bounds = [0]
-            for cut in cuts.tolist():
-                bounds.append(min(max(cut, bounds[-1]), n))
-            bounds.append(n)
-        self._shard_cache[("bounds", num_shards)] = bounds
-        return bounds
-
-    def out_counts_range(self, membership, lo: int, hi: int, out=None):
-        """:meth:`out_counts` restricted to the node range ``[lo, hi)``.
-
-        Uses no shared scratch (unlike :meth:`out_counts`), so disjoint
-        ranges may run concurrently — this is the per-shard form of the
-        counting scan.  With ``out`` given, writes the ``hi - lo``
-        counts into ``out[lo:hi]`` and returns ``out``; otherwise
-        returns a fresh length-``hi - lo`` array.
-        """
-        e0 = int(self.out_offsets[lo])
-        e1 = int(self.out_offsets[hi])
-        if e1 == e0:
-            counts = np.zeros(hi - lo, dtype=np.int64)
-        else:
-            cum = np.empty(e1 - e0 + 1, dtype=np.int64)
-            cum[0] = 0
-            np.cumsum(
-                membership[self.out_targets[e0:e1]], dtype=np.int64, out=cum[1:]
-            )
-            offsets = self.out_offsets[lo : hi + 1] - e0
-            counts = cum[offsets[1:]] - cum[offsets[:-1]]
-        if out is None:
-            return counts
-        out[lo:hi] = counts
-        return out
-
-    def label_bucket_range(self, label_id: int, lo: int, hi: int):
-        """Live nodes with ``label_id`` inside node range ``[lo, hi)``.
-
-        The per-shard slice of a label bucket: buckets store ascending
-        node ids, so a shard's share is one ``searchsorted`` window —
-        an array view, no copy.
-        """
-        bucket = self.nodes_with_label_id(label_id)
-        if not bucket.size:
-            return bucket
-        start, stop = np.searchsorted(bucket, [lo, hi], side="left")
-        return bucket[start:stop]
-
-    def shard_label_slices(self, num_shards: int) -> list[list[tuple[int, int]]]:
-        """Per-shard ``(start, stop)`` windows into ``label_nodes``.
-
-        ``result[shard][label_id]`` delimits the shard's slice of each
-        label bucket under :meth:`shard_bounds`; shipping these with a
-        pickled snapshot lets a worker scan only its shard's members of
-        any label.  Cached per shard count.
-        """
-        cached = self._shard_cache.get(("label_slices", num_shards))
-        if cached is not None:
-            return cached
-        bounds = self.shard_bounds(num_shards)
-        slices: list[list[tuple[int, int]]] = []
-        for i in range(len(bounds) - 1):
-            lo, hi = bounds[i], bounds[i + 1]
-            row: list[tuple[int, int]] = []
-            for label_id in range(self.num_labels):
-                base = int(self.label_offsets[label_id])
-                bucket = self.nodes_with_label_id(label_id)
-                start, stop = np.searchsorted(bucket, [lo, hi], side="left")
-                row.append((base + int(start), base + int(stop)))
-            slices.append(row)
-        self._shard_cache[("label_slices", num_shards)] = slices
-        return slices
-
-    # ------------------------------------------------------------------
     # scalar-loop mirrors
     # ------------------------------------------------------------------
     def out_csr_lists(self) -> tuple[list[int], list[int]]:
@@ -542,8 +432,8 @@ class PatchedCSRSnapshot(CSRSnapshot):
       so bucket-keyed caches survive the patch.
 
     Every public accessor and bulk kernel reads through the overlay, so
-    downstream consumers (CSR-kernel scans, shard bounds, pair-CSR
-    compilation, the bound index's restricted CSR) are unchanged.
+    downstream consumers (CSR-kernel scans, pair-CSR compilation, the
+    bound index's restricted CSR) are unchanged.
     """
 
     __slots__ = (
@@ -867,38 +757,6 @@ class PatchedCSRSnapshot(CSRSnapshot):
         for v, seg in self._seg_in.items():
             result[v] += int(membership[seg].sum(dtype=np.int64))
         return result
-
-    def out_counts_range(self, membership, lo: int, hi: int, out=None):
-        base = self._base
-        base_n = base.num_nodes
-        blo, bhi = min(lo, base_n), min(hi, base_n)
-        counts = np.zeros(hi - lo, dtype=np.int64)
-        if bhi > blo:
-            e0 = int(base.out_offsets[blo])
-            e1 = int(base.out_offsets[bhi])
-            if e1 > e0:
-                cum = np.empty(e1 - e0 + 1, dtype=np.int64)
-                cum[0] = 0
-                np.cumsum(
-                    membership[base.out_targets[e0:e1]], dtype=np.int64, out=cum[1:]
-                )
-                offsets = base.out_offsets[blo : bhi + 1] - e0
-                counts[: bhi - blo] = cum[offsets[1:]] - cum[offsets[:-1]]
-        if self._dead_src.size:
-            in_range = (self._dead_src >= lo) & (self._dead_src < hi)
-            if in_range.any():
-                np.subtract.at(
-                    counts,
-                    self._dead_src[in_range] - lo,
-                    membership[self._dead_dst[in_range]].astype(np.int64),
-                )
-        for v, seg in self._seg_out.items():
-            if lo <= v < hi:
-                counts[v - lo] += int(membership[seg].sum(dtype=np.int64))
-        if out is None:
-            return counts
-        out[lo:hi] = counts
-        return out
 
     def gather_in_slices(self, nodes) -> "np.ndarray":
         nodes = np.asarray(nodes, dtype=np.int64)

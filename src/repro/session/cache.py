@@ -437,11 +437,7 @@ class SessionCache:
         return built, False
 
     def simulation(
-        self,
-        pattern: Pattern,
-        use_csr: bool,
-        sim_shards: int = 0,
-        shard_backend: str = "thread",
+        self, pattern: Pattern, use_csr: bool
     ) -> tuple[SimulationResult, CandidateSets | None, bool]:
         """The maximal-simulation fixpoint plus match-narrowed candidates.
 
@@ -449,9 +445,6 @@ class SessionCache:
         ``narrowed_candidates`` is ``None`` when the match is not total
         (then ``M(Q, G)`` is empty and there is nothing to rank).
         Narrowed lists are sorted, exactly as the engines build them.
-        ``sim_shards``/``shard_backend`` thread the config's
-        shard-parallel kernel settings through (identical fixpoint, so
-        they are deliberately *not* part of the cache key).
         """
         key = ("sim", pattern_structure_key(pattern), use_csr)
         cached = self._sim.get(key)
@@ -464,8 +457,7 @@ class SessionCache:
         with trace("cache.build", artifact="simulation"):
             base, _ = self.candidates(pattern, use_csr)
             result = maximal_simulation(
-                pattern, self.graph, base, optimized=use_csr,
-                sim_shards=sim_shards, shard_backend=shard_backend,
+                pattern, self.graph, base, optimized=use_csr
             )
             narrowed = (
                 CandidateSets(

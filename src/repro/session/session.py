@@ -35,6 +35,7 @@ is computed — so batch answers are identical to looped one-shot calls.
 from __future__ import annotations
 
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -468,7 +469,13 @@ class MatchSession:
 
         pool = self._worker_pool(cfg)
         with trace("session.pool_dispatch", queries=len(tasks)):
-            results, worker_stats = pool.run(tasks, self._pool_ops)
+            try:
+                results, worker_stats = pool.run(tasks, self._pool_ops)
+            except BrokenProcessPool:
+                # A dead worker breaks the executor for good: forget it
+                # so the next batch builds a fresh pool.
+                self._drop_pool()
+                raise
 
         handle_of = {index: handle for _, index, handle in ranked}
         for index, result in results:

@@ -209,9 +209,7 @@ class TopKEngine:
             with trace("engine.presimulate", algorithm=algorithm_name):
                 if self._session_cache is not None:
                     _, narrowed, hit = self._session_cache.simulation(
-                        pattern, self.use_csr,
-                        sim_shards=cfg.sim_shards,
-                        shard_backend=cfg.shard_backend,
+                        pattern, self.use_csr
                     )
                     if hit:
                         self.stats.sim_hits += 1
@@ -225,9 +223,7 @@ class TopKEngine:
                     from repro.simulation.match import maximal_simulation
 
                     simulation = maximal_simulation(
-                        pattern, graph, self.candidates, optimized=self.use_csr,
-                        sim_shards=cfg.sim_shards,
-                        shard_backend=cfg.shard_backend,
+                        pattern, graph, self.candidates, optimized=self.use_csr
                     )
                     self.stats.sim_builds += 1
                     if not simulation.total:

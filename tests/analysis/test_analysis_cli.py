@@ -59,7 +59,7 @@ SEEDED = {
         "repro/graph/csr.py",
         """
         class CSRSnapshot:
-            __slots__ = ("indptr", "_shard_lock")
+            __slots__ = ("indptr", "_build_lock")
             _TRANSIENT_SLOTS = ()
 
             def __getstate__(self):
@@ -67,7 +67,7 @@ SEEDED = {
         """,
     ),
     "R8": (
-        "repro/parallel/pools.py",
+        "repro/session/pools.py",
         """
         import threading
 

@@ -698,7 +698,7 @@ class TestR7TransientSlots:
             {
                 "src/repro/graph/csr.py": """
                     class CSRSnapshot:
-                        __slots__ = ("indptr", "_neigh_cache", "_shard_lock")
+                        __slots__ = ("indptr", "_neigh_cache", "_build_lock")
                         _TRANSIENT_SLOTS = ("_neigh_cache",)
 
                         def __getstate__(self):
@@ -714,7 +714,7 @@ class TestR7TransientSlots:
         assert len(report.new) == 1
         assert (
             report.new[0].detail
-            == "pickled-risky-slot:CSRSnapshot._shard_lock"
+            == "pickled-risky-slot:CSRSnapshot._build_lock"
         )
 
     def test_complete_transient_list_clean(self, tmp_path):
@@ -723,8 +723,8 @@ class TestR7TransientSlots:
             {
                 "src/repro/graph/csr.py": """
                     class CSRSnapshot:
-                        __slots__ = ("indptr", "_neigh_cache", "_shard_lock")
-                        _TRANSIENT_SLOTS = ("_neigh_cache", "_shard_lock")
+                        __slots__ = ("indptr", "_neigh_cache", "_build_lock")
+                        _TRANSIENT_SLOTS = ("_neigh_cache", "_build_lock")
 
                         def __getstate__(self):
                             return {
@@ -747,8 +747,8 @@ class TestR7TransientSlots:
             {
                 "src/repro/graph/csr.py": """
                     class CSRSnapshot:
-                        __slots__ = ("indptr", "_shard_lock")
-                        _TRANSIENT_SLOTS = ("_shard_lock",)
+                        __slots__ = ("indptr", "_build_lock")
+                        _TRANSIENT_SLOTS = ("_build_lock",)
 
                         def __getstate__(self):
                             return {}
@@ -855,7 +855,7 @@ class TestR7PoolPayloads:
         report = check(
             tmp_path,
             {
-                "src/repro/parallel/tasks.py": """
+                "src/repro/session/tasks.py": """
                     def dispatch(pool, items):
                         return pool.submit(lambda: len(items))
                 """
@@ -869,7 +869,7 @@ class TestR7PoolPayloads:
         report = check(
             tmp_path,
             {
-                "src/repro/parallel/tasks.py": """
+                "src/repro/session/tasks.py": """
                     def dispatch(executor, items):
                         def work(item):
                             return item * 2
@@ -886,7 +886,7 @@ class TestR7PoolPayloads:
         report = check(
             tmp_path,
             {
-                "src/repro/parallel/tasks.py": """
+                "src/repro/session/tasks.py": """
                     def work(item):
                         return item * 2
 
@@ -903,7 +903,7 @@ class TestR7PoolPayloads:
         report = check(
             tmp_path,
             {
-                "src/repro/parallel/tasks.py": """
+                "src/repro/session/tasks.py": """
                     from concurrent.futures import ProcessPoolExecutor
 
                     def start(payload):
@@ -929,7 +929,7 @@ class TestR8LockDiscipline:
         report = check(
             tmp_path,
             {
-                "src/repro/parallel/pools.py": """
+                "src/repro/session/pools.py": """
                     import threading
 
                     _POOLS = {}
@@ -956,7 +956,7 @@ class TestR8LockDiscipline:
         report = check(
             tmp_path,
             {
-                "src/repro/parallel/pools.py": """
+                "src/repro/session/pools.py": """
                     import threading
 
                     _POOLS = {}
@@ -1139,8 +1139,8 @@ class TestR9TokenKeys:
             {
                 "src/repro/graph/csr.py": """
                     class CSRSnapshot:
-                        def _runner_key(self, num_shards):
-                            return ("runner", self, num_shards)
+                        def _mirror_key(self, kind):
+                            return ("mirror", self, kind)
                 """
             },
             "R9",
@@ -1268,9 +1268,9 @@ class TestR10ToggleParity:
         assert report.new == []
 
     def test_kwarg_alias_hop_counts_as_branch(self, tmp_path):
-        # sim_shards never appears by name in a boolean context: it is
-        # renamed through `shards=config.sim_shards` into the kernel's
-        # `if shards > 1` guard.  The one-hop alias must satisfy (a).
+        # workers never appears by name in a boolean context: it is
+        # renamed through `pool_size=config.workers` into the serving
+        # `if pool_size > 1` guard.  The one-hop alias must satisfy (a).
         report = check(
             tmp_path,
             {
@@ -1280,22 +1280,22 @@ class TestR10ToggleParity:
 
                     @dataclass(frozen=True)
                     class ExecutionConfig:
-                        sim_shards: int = 0
+                        workers: int = 0
                 """,
-                "src/repro/session/match.py": """
-                    def dispatch(graph, config):
-                        return kernel(graph, shards=config.sim_shards)
+                "src/repro/session/session.py": """
+                    def dispatch(batch, config):
+                        return serve(batch, pool_size=config.workers)
                 """,
-                "src/repro/simulation/kernel.py": """
-                    def kernel(graph, shards=0):
-                        if shards > 1:
-                            return sharded(graph, shards)
-                        return serial(graph)
+                "src/repro/session/serve.py": """
+                    def serve(batch, pool_size=0):
+                        if pool_size > 1:
+                            return pooled(batch, pool_size)
+                        return serial(batch)
                 """,
-                "tests/test_kernel.py": """
-                    def test_sim_shards_matches_serial():
-                        cfg = ExecutionConfig(sim_shards=2)
-                        assert dispatch(g, cfg) == kernel(g)
+                "tests/test_serve.py": """
+                    def test_workers_matches_serial():
+                        cfg = ExecutionConfig(workers=2)
+                        assert dispatch(b, cfg) == serve(b)
                 """,
             },
             "R10",

@@ -112,11 +112,6 @@ def assert_snapshots_equivalent(patched, fresh) -> None:
     np.testing.assert_array_equal(
         patched.in_counts(membership), fresh.in_counts(membership)
     )
-    if fresh.num_nodes > 4:
-        np.testing.assert_array_equal(
-            patched.out_counts_range(membership, 2, fresh.num_nodes - 2),
-            fresh.out_counts_range(membership, 2, fresh.num_nodes - 2),
-        )
     values = np.arange(fresh.num_nodes, dtype=np.float64) * 0.5
     np.testing.assert_array_equal(patched.in_max(values), fresh.in_max(values))
     live = [int(v) for v in fresh.live_nodes]

@@ -9,7 +9,11 @@ what serial execution would have published (no double-counting when
 worker stats fold back in).
 """
 
+import os
 import random
+import signal
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -69,21 +73,6 @@ def test_pooled_equals_serial_equals_one_shot_across_toggle_grid(seed):
             for spec, got, want in zip(specs, pooled_results, serial_results):
                 assert_same(got, want)
                 assert_same(got, one_shot(spec, graph, config))
-
-
-@given(seed=st.integers(0, 10_000))
-@SETTINGS
-def test_pooled_with_sim_shards_equals_serial(seed):
-    """Both parallel levels on at once: workers=2 + sharded kernel."""
-    graph = rich_random_graph(seed + 3)
-    specs = mixed_batch(seed + 3)
-    cfg = ExecutionConfig(workers=2, sim_shards=3)
-    with MatchSession(graph, config=cfg) as pooled:
-        pooled_results = pooled.run_batch(specs)
-    with MatchSession(graph) as serial:
-        serial_results = serial.run_batch(specs)
-    for got, want in zip(pooled_results, serial_results):
-        assert_same(got, want)
 
 
 def test_no_double_counting_in_published_stats():
@@ -214,14 +203,13 @@ def test_workers_zero_and_one_stay_serial():
 def test_worker_config_strips_serving_knobs():
     cfg = ExecutionConfig(
         workers=4, trace=True, metrics=True, slow_query_seconds=0.5,
-        sim_shards=2, use_csr=True,
+        use_csr=True,
     )
     stripped = worker_config(cfg)
     assert stripped.workers == 0
     assert not stripped.trace and not stripped.metrics
     assert stripped.slow_query_seconds == float("inf")
     # Engine toggles survive — answers must not change.
-    assert stripped.sim_shards == 2
     assert stripped.use_csr is True
 
 
@@ -239,7 +227,61 @@ def test_worker_pool_validation_and_close():
 def test_execution_config_validates_parallel_fields():
     with pytest.raises(MatchingError):
         ExecutionConfig(workers=-1)
-    with pytest.raises(MatchingError):
-        ExecutionConfig(sim_shards=-2)
-    with pytest.raises(MatchingError):
-        ExecutionConfig(shard_backend="gpu")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="POSIX only")
+def test_dead_worker_drops_the_pool_and_the_next_batch_recovers():
+    """A killed worker fails the batch it breaks, not every later one."""
+    graph = make_random_graph(29, num_nodes=16, num_edges=30)
+    specs = mixed_batch(29)
+    cfg = ExecutionConfig(workers=2)
+    # reuse_results=False: every batch must reach the pool.
+    with MatchSession(graph, config=cfg, reuse_results=False) as session:
+        session.run_batch(specs)
+        pool = session._pool
+        assert pool is not None
+        victim = next(iter(pool._executor._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=30)
+        with pytest.raises(BrokenProcessPool):
+            session.run_batch(specs)
+        assert session._pool is None
+        results = session.run_batch(specs)
+        assert session._pool is not None and session._pool is not pool
+    with MatchSession(graph) as serial:
+        for got, want in zip(results, serial.run_batch(specs)):
+            assert_same(got, want)
+
+
+def _explode():
+    raise RuntimeError("poisoned worker payload")
+
+
+class _PoisonOnLoad:
+    """Pickles fine in the parent; unpickling in a worker raises."""
+
+    def __reduce__(self):
+        return _explode, ()
+
+
+POISON = _PoisonOnLoad()
+
+
+def test_spawn_bootstrap_failure_raises_instead_of_hanging():
+    pool = WorkerPool(POISON, ExecutionConfig(), workers=2)
+    outcome = []
+
+    def dispatch():
+        try:
+            pool.run([(0, QuerySpec(mixed_batch(2)[0].pattern, k=1))])
+        except Exception as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=dispatch, daemon=True)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "pool dispatch hung on a failed bootstrap"
+        assert len(outcome) == 1 and isinstance(outcome[0], BrokenProcessPool)
+    finally:
+        pool.close()

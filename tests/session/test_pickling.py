@@ -1,10 +1,10 @@
 """Pickle round-trips for everything the serving pool ships.
 
 Workers receive ``(Graph, ExecutionConfig)`` once at initialisation and
-``QuerySpec`` lists per dispatch; the kernel's process backend ships
-``CSRSnapshot``.  Each must survive a round-trip with its semantic
-payload intact while process-local wiring (listeners, derived caches,
-scalar-mirror/shard caches) is deliberately dropped and rebuilt lazily.
+``QuerySpec`` lists per dispatch; ``CSRSnapshot`` pickles by value too.
+Each must survive a round-trip with its semantic payload intact while
+process-local wiring (listeners, derived caches, scalar mirrors,
+prefix-sum scratch) is deliberately dropped and rebuilt lazily.
 """
 
 import pickle
@@ -47,7 +47,9 @@ def test_csr_snapshot_roundtrip_preserves_arrays_and_drops_caches():
     graph = make_random_graph(7, num_nodes=15, num_edges=30)
     snap = graph.snapshot()
     snap.out_csr_lists()  # populate a scalar-mirror cache
-    snap.shard_bounds(3)  # populate the shard cache
+    membership = np.zeros(snap.num_nodes, dtype=np.uint8)
+    membership[:: 2] = 1
+    snap.out_counts(membership)  # populate the prefix-sum scratch
     copy = roundtrip(snap)
     for name in (
         "out_offsets", "out_targets", "in_offsets", "in_sources",
@@ -56,10 +58,8 @@ def test_csr_snapshot_roundtrip_preserves_arrays_and_drops_caches():
         np.testing.assert_array_equal(getattr(copy, name), getattr(snap, name))
     assert copy.num_nodes == snap.num_nodes
     assert copy.num_edges == snap.num_edges
-    assert copy._shard_cache == {} and copy._out_lists is None
+    assert copy._cum_scratch is None and copy._out_lists is None
     # And the copy computes identical counting scans.
-    membership = np.zeros(snap.num_nodes, dtype=np.uint8)
-    membership[:: 2] = 1
     np.testing.assert_array_equal(
         copy.out_counts(membership), snap.out_counts(membership)
     )
@@ -69,7 +69,7 @@ def test_csr_snapshot_roundtrip_preserves_arrays_and_drops_caches():
 def test_patched_snapshot_roundtrip_preserves_overlay_reads():
     """An overlay-form snapshot pickles like a flat one: every read the
     copy serves matches the patched original, and process-local caches
-    (shard cache, list mirrors, token) are rebuilt fresh."""
+    (prefix-sum scratch, list mirrors, token) are rebuilt fresh."""
     import numpy as np
 
     graph = make_random_graph(11, num_nodes=15, num_edges=30)
@@ -84,14 +84,16 @@ def test_patched_snapshot_roundtrip_preserves_overlay_reads():
     unsubscribe()
     patched = csr.PatchedCSRSnapshot.patch(base, ops, graph)
     patched.out_csr_lists()
-    patched.shard_bounds(3)
+    membership = np.zeros(patched.num_nodes, dtype=np.uint8)
+    membership[::2] = 1
+    patched.out_counts(membership)  # populate the prefix-sum scratch
     copy = roundtrip(patched)
     assert isinstance(copy, csr.PatchedCSRSnapshot)
     assert copy.num_nodes == patched.num_nodes
     assert copy.num_edges == patched.num_edges
     assert copy.num_live == patched.num_live
     np.testing.assert_array_equal(copy.live_mask, patched.live_mask)
-    assert copy._shard_cache == {} and copy._out_lists is None
+    assert copy._cum_scratch is None and copy._out_lists is None
     for node in range(patched.num_nodes):
         np.testing.assert_array_equal(
             copy.successors(node), patched.successors(node)
@@ -104,8 +106,6 @@ def test_patched_snapshot_roundtrip_preserves_overlay_reads():
             copy.nodes_with_label_id(label_id),
             patched.nodes_with_label_id(label_id),
         )
-    membership = np.zeros(patched.num_nodes, dtype=np.uint8)
-    membership[::2] = 1
     np.testing.assert_array_equal(
         copy.out_counts(membership), patched.out_counts(membership)
     )
@@ -119,8 +119,7 @@ def test_patched_snapshot_roundtrip_preserves_overlay_reads():
 def test_execution_config_roundtrip():
     cfg = ExecutionConfig(
         use_csr=True, scc_incremental=False, bound_strategy="hop",
-        batch_size=4, seed=9, workers=3, sim_shards=2,
-        shard_backend="process", metrics=True,
+        batch_size=4, seed=9, workers=3, metrics=True,
     )
     assert roundtrip(cfg) == cfg
     assert roundtrip(cfg.resolved()) == cfg.resolved()

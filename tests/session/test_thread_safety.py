@@ -1,7 +1,7 @@
 """Threaded regression tests for the R8-class get-or-create races.
 
-Both caches fixed in this PR had the same shape the lock-discipline
-rule (R8) now flags statically: an unguarded check-then-set on shared
+The session's worker-pool lookup had the shape the lock-discipline
+rule (R8) flags statically: an unguarded check-then-set on shared
 state reachable from concurrent callers.  These tests drive the *real*
 interleaving — a barrier lines N threads up on the lookup, and any
 regression shows up as more than one constructed instance (a leaked
@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
-from repro.graph import csr
 from repro.session import ExecutionConfig, MatchSession
 
 from tests.conftest import make_random_graph
@@ -44,28 +41,6 @@ def _hammer(worker) -> list:
         thread.join()
     assert not errors
     return results
-
-
-@pytest.mark.skipif(not csr.available(), reason="requires numpy")
-def test_concurrent_shard_runner_lookup_builds_one_runner(monkeypatch):
-    import repro.parallel.shards as shards
-
-    constructed: list[object] = []
-    real_runner = shards.ShardRunner
-
-    class CountingRunner(real_runner):  # type: ignore[misc, valid-type]
-        def __init__(self, *args, **kwargs):
-            constructed.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(shards, "ShardRunner", CountingRunner)
-
-    graph = make_random_graph(7, num_nodes=30, num_edges=60)
-    snap = graph.snapshot()
-    runners = _hammer(lambda: shards.shard_runner(snap, 3, backend="thread"))
-
-    assert len(constructed) == 1
-    assert all(runner is runners[0] for runner in runners)
 
 
 def test_concurrent_worker_pool_lookup_builds_one_pool(monkeypatch):
