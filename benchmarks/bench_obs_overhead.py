@@ -63,7 +63,7 @@ WORKLOAD = {
     "k": 10,
 }
 
-#: Every module that gained observability call sites in this PR, with
+#: Every module with observability call sites, with
 #: the ``repro.obs`` names it imported.  The stripped arm nulls these
 #: module globals so the hooks vanish, approximating the pre-PR code.
 INSTRUMENTED_MODULES = {
@@ -72,7 +72,8 @@ INSTRUMENTED_MODULES = {
     "repro.topk.dag": ("instrumentation", "record_run"),
     "repro.topk.match_all": ("instrumentation", "record_run"),
     "repro.diversify.heuristic": ("instrumentation", "record_run"),
-    "repro.diversify.approx": ("instrumentation", "record_run"),
+    "repro.diversify.approx": ("instrumentation", "record_run", "trace"),
+    "repro.topk.policies": ("trace",),
     "repro.simulation.match": ("current_metrics", "trace"),
     "repro.simulation.csr_kernel": ("current_metrics", "trace"),
     "repro.session.cache": ("current_metrics", "trace"),

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import MatchingError
 from repro.graph.digraph import Graph
-from repro.obs import instrumentation, record_run
+from repro.obs import instrumentation, record_run, trace
 from repro.patterns.pattern import Pattern
 from repro.ranking.context import RankingContext
 from repro.ranking.diversification import DiversificationObjective
@@ -101,16 +101,27 @@ def top_k_diversified_approx(
 
         matches = context.matches
         relevant = context.relevant
+        rel = {v: obj.relevance.value(context, v, relevant[v]) for v in matches}
+        distance = obj.distance.distance
+        pair_value = obj.pair_value
+        distance_evals = 0
 
         def pair_weight(v1: int, v2: int) -> float:
-            return obj.pair_objective(context, v1, relevant[v1], v2, relevant[v2])
+            nonlocal distance_evals
+            distance_evals += 1
+            return pair_value(
+                rel[v1], rel[v2], distance(context, v1, relevant[v1], v2, relevant[v2])
+            )
 
         def single_weight(v: int) -> float:
-            return (1.0 - obj.lam) / max(1, k - 1) * obj.relevance.value(context, v, relevant[v])
+            return (1.0 - obj.lam) / max(1, k - 1) * rel[v]
 
-        selected = greedy_max_dispersion(matches, k, pair_weight, single_weight)
+        with trace("diversify.select", algorithm="TopKDiv", candidates=len(matches)) as span:
+            selected = greedy_max_dispersion(matches, k, pair_weight, single_weight)
+            if span is not None:
+                span.set_attr(distance_evals=distance_evals)
 
-        scores = {v: obj.relevance.value(context, v, relevant[v]) for v in selected}
+        scores = {v: rel[v] for v in selected}
         objective_value = obj.score_matches(context, selected)
         stats.inspected_matches = len(matches)
         stats.total_matches = len(matches)

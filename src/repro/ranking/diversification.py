@@ -22,7 +22,7 @@ This module also provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from repro.errors import RankingError
 from repro.ranking.context import RankingContext
@@ -77,16 +77,31 @@ class DiversificationObjective:
         rsets: Mapping[int, AbstractSet[int]],
     ) -> float:
         """``F*(S)`` for ``S = members`` with relevant sets ``rsets``."""
-        rel = (1.0 - self.lam) * self.relevance.of_set(
-            self.relevance.value(ctx, v, rsets[v]) for v in members
+        distance = self.distance.distance
+        return self.combine(
+            [self.relevance.value(ctx, v, rsets[v]) for v in members],
+            (
+                distance(ctx, v1, rsets[v1], v2, rsets[v2])
+                for i, v1 in enumerate(members)
+                for v2 in members[i + 1 :]
+            ),
         )
+
+    def combine(self, values: Sequence[float], distances: Iterable[float]) -> float:
+        """``F*(S)`` from its members' relevance values and pair distances.
+
+        ``distances`` lists ``δ*d(vi, vj)`` for ``i < j`` in row order and
+        is consumed only when ``λ > 0`` and ``k > 1``.  This is the one
+        home of the formula's float operations, so callers that cache
+        values and distances (TopKDH's swap trials) score bit for bit as
+        :meth:`score` does.
+        """
+        rel = (1.0 - self.lam) * self.relevance.of_set(values)
         div = 0.0
         scale = self.diversity_scale
         if scale:
-            for i, v1 in enumerate(members):
-                rset1 = rsets[v1]
-                for v2 in members[i + 1 :]:
-                    div += self.distance.distance(ctx, v1, rset1, v2, rsets[v2])
+            for d in distances:
+                div += d
             div *= scale
         return rel + div
 
@@ -111,14 +126,20 @@ class DiversificationObjective:
         """
         if self.k <= 1:
             return (1.0 - self.lam) * self.relevance.value(ctx, v1, rset1)
-        rel = (
-            (1.0 - self.lam)
-            / (self.k - 1)
-            * (self.relevance.value(ctx, v1, rset1) + self.relevance.value(ctx, v2, rset2))
+        return self.pair_value(
+            self.relevance.value(ctx, v1, rset1),
+            self.relevance.value(ctx, v2, rset2),
+            self.distance.distance(ctx, v1, rset1, v2, rset2),
         )
-        div = (2.0 * self.lam / (self.k - 1)) * self.distance.distance(
-            ctx, v1, rset1, v2, rset2
-        )
+
+    def pair_value(self, rel1: float, rel2: float, dist: float) -> float:
+        """``F'(v1, v2)`` from ``δ*r(v1)``, ``δ*r(v2)`` and ``δ*d(v1, v2)``.
+
+        For ``k > 1``; TopKDiv computes each match's relevance once and
+        feeds it here for every pair.
+        """
+        rel = (1.0 - self.lam) / (self.k - 1) * (rel1 + rel2)
+        div = (2.0 * self.lam / (self.k - 1)) * dist
         return rel + div
 
 
@@ -131,8 +152,12 @@ def diversification_score(
     """Convenience: the paper's ``F(S)`` with default functions.
 
     ``k`` defaults to ``len(members)`` — scoring a set by its own size,
-    which is how Example 6 evaluates candidate sets.
+    which is how Example 6 evaluates candidate sets.  ``F(∅) = 0``.
     """
+    members = list(members)
+    if not members:
+        check_lambda(lam)
+        return 0.0
     objective = DiversificationObjective(lam=lam, k=k if k is not None else len(members))
     objective.prepare(ctx)
-    return objective.score_matches(ctx, list(members))
+    return objective.score_matches(ctx, members)

@@ -74,6 +74,17 @@ class TestObjective:
         score = diversification_score(ctx, [pm1, pm3], lam=1.0)
         assert abs(score - 2.0) < 1e-12
 
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_empty_set_scores_zero(self, fig1, k):
+        # F(∅) = 0; k defaulting to len([]) = 0 used to raise RankingError.
+        ctx = RankingContext(fig1.pattern, fig1.graph)
+        assert diversification_score(ctx, [], 0.5, k) == 0.0
+
+    def test_empty_set_still_validates_lambda(self, fig1):
+        ctx = RankingContext(fig1.pattern, fig1.graph)
+        with pytest.raises(RankingError):
+            diversification_score(ctx, [], 1.5)
+
 
 class TestNonSubmodularity:
     def test_f_is_not_submodular(self, fig1):
